@@ -75,19 +75,21 @@ func Trivial(p *model.Program) Labeling {
 // to a class representative.
 func Related(p *model.Program) *UnionFind {
 	uf := NewUnionFind(p.NumMessages())
+	// Within one cell all ops on a given message share a kind (the
+	// cell is its sender or its receiver), so tracking the previous
+	// op index per message suffices. prevCell[m] is 1 + the cell
+	// that set prev[m], so neither needs clearing between cells.
+	prev := make([]int, p.NumMessages())
+	prevCell := make([]int, p.NumMessages())
 	for c := 0; c < p.NumCells(); c++ {
 		code := p.Code(model.CellID(c))
-		// Within one cell all ops on a given message share a kind
-		// (the cell is its sender or its receiver), so tracking the
-		// previous op index per message suffices.
-		prev := make(map[model.MessageID]int)
 		for i, op := range code {
-			if j, ok := prev[op.Msg]; ok {
-				for k := j + 1; k < i; k++ {
+			if prevCell[op.Msg] == c+1 {
+				for k := prev[op.Msg] + 1; k < i; k++ {
 					uf.Union(int(op.Msg), int(code[k].Msg))
 				}
 			}
-			prev[op.Msg] = i
+			prev[op.Msg], prevCell[op.Msg] = i, c+1
 		}
 	}
 	return uf
@@ -131,6 +133,9 @@ func Assign(p *model.Program, opts Options) (Labeling, error) {
 // crossing-off pass, steps 1a–1d.
 func assignGreedy(p *model.Program, opts Options) (Labeling, error) {
 	uf := Related(p)
+	// Rule 1c labels a whole related class at once, so a class is
+	// walked at most once.
+	members, start := uf.classMembers()
 
 	labels := make([]rational.R, p.NumMessages())
 	labeled := make([]bool, p.NumMessages())
@@ -139,47 +144,48 @@ func assignGreedy(p *model.Program, opts Options) (Labeling, error) {
 	var warnings []string
 	var schemeErr error
 
-	// Remaining-op bookkeeping for the "will read from or write to"
-	// scans of steps 1a/1b: per cell, the multiset of message ids in
-	// its uncrossed suffix. We maintain counts and decrement as pairs
-	// cross.
-	remaining := make([]map[model.MessageID]int, p.NumCells())
-	for c := 0; c < p.NumCells(); c++ {
-		remaining[c] = make(map[model.MessageID]int)
-		for _, op := range p.Code(model.CellID(c)) {
-			remaining[c][op.Msg]++
-		}
+	// Steps 1a/1b need the smallest label among the messages a cell
+	// will still read from or write to. A message occurs only in its
+	// sender's and its receiver's code, and each crossed pair removes
+	// one op from each, so left[msg] counts the uncrossed ops of msg
+	// at either endpoint. Each cell keeps a min-heap, ordered by
+	// label, of the labeled messages it touches; labels never change
+	// once set, so dropping heap entries whose left count reached
+	// zero when they surface is exact.
+	left := make([]int, p.NumMessages())
+	for _, m := range p.Messages() {
+		left[m.ID] = m.Words
 	}
+	pending := make([]labelHeap, p.NumCells())
 
-	// pendingMin returns the smallest label among already-labeled
-	// messages still appearing in cell c's remaining ops, excluding
-	// message self.
-	pendingMin := func(c model.CellID, self model.MessageID) (rational.R, bool) {
-		var min rational.R
-		found := false
-		for msg, n := range remaining[c] {
-			if n <= 0 || msg == self || !labeled[msg] {
-				continue
-			}
-			if !found || labels[msg].Less(min) {
-				min = labels[msg]
-				found = true
-			}
+	// pendingMin returns the smallest label among labeled messages
+	// still appearing in cell c's remaining ops. It is only asked on
+	// behalf of an unlabeled message, which no heap holds, so that
+	// message needs no exclusion.
+	pendingMin := func(c model.CellID) (rational.R, bool) {
+		h := &pending[c]
+		for len(*h) > 0 && left[(*h)[0]] == 0 {
+			h.pop(labels)
 		}
-		return min, found
+		if len(*h) == 0 {
+			return rational.R{}, false
+		}
+		return labels[(*h)[0]], true
 	}
 
 	setLabel := func(msg model.MessageID, lab rational.R) {
 		labels[msg] = lab
 		labeled[msg] = true
 		maxInUse = rational.Max(maxInUse, lab)
+		m := p.Message(msg)
+		pending[m.Sender].push(msg, labels)
+		pending[m.Receiver].push(msg, labels)
 	}
 
 	observer := func(pr crossoff.Pair) {
 		defer func() {
 			// The pair is crossed after observation: account for it.
-			remaining[pr.WriteCell][pr.Msg]--
-			remaining[pr.ReadCell][pr.Msg]--
+			left[pr.Msg]--
 			lastTouched[pr.WriteCell] = labels[pr.Msg]
 			lastTouched[pr.ReadCell] = labels[pr.Msg]
 		}()
@@ -187,8 +193,8 @@ func assignGreedy(p *model.Program, opts Options) (Labeling, error) {
 			return
 		}
 		m := p.Message(pr.Msg)
-		uS, okS := pendingMin(m.Sender, pr.Msg)
-		uR, okR := pendingMin(m.Receiver, pr.Msg)
+		uS, okS := pendingMin(m.Sender)
+		uR, okR := pendingMin(m.Receiver)
 		var lab rational.R
 		switch {
 		case !okS && !okR:
@@ -214,8 +220,9 @@ func assignGreedy(p *model.Program, opts Options) (Labeling, error) {
 		}
 		// Steps 1c/1d share the label across the related class and
 		// the skipped-over messages.
-		for other := 0; other < p.NumMessages(); other++ {
-			if uf.Find(other) == uf.Find(int(pr.Msg)) && !labeled[other] {
+		r := uf.Find(int(pr.Msg))
+		for _, other := range members[start[r]:start[r+1]] {
+			if !labeled[other] {
 				setLabel(model.MessageID(other), lab)
 			}
 		}
@@ -254,6 +261,45 @@ func assignGreedy(p *model.Program, opts Options) (Labeling, error) {
 		}
 	}
 	return Labeling{ByMessage: labels, Dense: densify(labels), Warnings: warnings}, nil
+}
+
+// labelHeap is a min-heap of message ids ordered by their labels.
+type labelHeap []model.MessageID
+
+func (h *labelHeap) push(msg model.MessageID, labels []rational.R) {
+	*h = append(*h, msg)
+	i := len(*h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !labels[(*h)[i]].Less(labels[(*h)[parent]]) {
+			break
+		}
+		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		i = parent
+	}
+}
+
+func (h *labelHeap) pop(labels []rational.R) {
+	old := *h
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && labels[(*h)[l]].Less(labels[(*h)[small]]) {
+			small = l
+		}
+		if r < n && labels[(*h)[r]].Less(labels[(*h)[small]]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
+		i = small
+	}
 }
 
 // densify converts exact labels to 1-based integer ranks preserving
@@ -353,13 +399,35 @@ func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 // Classes returns the members of each class with ≥1 member, keyed by
 // representative, each sorted ascending.
 func (u *UnionFind) Classes() map[int][]int {
+	members, start := u.classMembers()
 	out := make(map[int][]int)
-	for i := range u.parent {
-		r := u.Find(i)
-		out[r] = append(out[r], i)
-	}
-	for _, members := range out {
-		sort.Ints(members)
+	for r := range u.parent {
+		if start[r] < start[r+1] {
+			out[r] = members[start[r]:start[r+1]:start[r+1]]
+		}
 	}
 	return out
+}
+
+// classMembers lists the members of every class contiguously: the
+// class whose representative is r holds members[start[r]:start[r+1]],
+// ascending (an empty range unless r is a representative).
+func (u *UnionFind) classMembers() (members, start []int) {
+	n := len(u.parent)
+	start = make([]int, n+1)
+	for i := range n {
+		start[u.Find(i)]++
+	}
+	for r := 1; r <= n; r++ {
+		start[r] += start[r-1]
+	}
+	// start[r] now ends class r; filling each class from its end
+	// backwards leaves it ascending and start[r] at its beginning.
+	members = make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		r := u.Find(i)
+		start[r]--
+		members[start[r]] = i
+	}
+	return members, start
 }

@@ -163,20 +163,16 @@ func (p *Program) Clone() *Program {
 // Builder assembles a Program incrementally and validates it on Build.
 // The zero Builder is ready to use.
 type Builder struct {
-	cells    []Cell
-	messages []Message
-	code     map[CellID][]Op
-	byName   map[string]MessageID
-	errs     []error
+	cells     []Cell
+	cellNames map[string]struct{}
+	messages  []Message
+	code      map[CellID][]Op
+	byName    map[string]MessageID
+	errs      []error
 }
 
 // NewBuilder returns an empty builder.
-func NewBuilder() *Builder {
-	return &Builder{
-		code:   make(map[CellID][]Op),
-		byName: make(map[string]MessageID),
-	}
-}
+func NewBuilder() *Builder { return new(Builder) }
 
 // AddCell declares a cell and returns its id. Cell names must be
 // unique and non-empty.
@@ -193,11 +189,13 @@ func (b *Builder) addCell(name string, host bool) CellID {
 	if name == "" {
 		b.errs = append(b.errs, fmt.Errorf("model: empty cell name"))
 	}
-	for _, c := range b.cells {
-		if c.Name == name {
-			b.errs = append(b.errs, fmt.Errorf("model: duplicate cell name %q", name))
-		}
+	if _, dup := b.cellNames[name]; dup {
+		b.errs = append(b.errs, fmt.Errorf("model: duplicate cell name %q", name))
 	}
+	if b.cellNames == nil {
+		b.cellNames = make(map[string]struct{})
+	}
+	b.cellNames[name] = struct{}{}
 	id := CellID(len(b.cells))
 	b.cells = append(b.cells, Cell{ID: id, Name: name, Host: host})
 	return id
@@ -230,19 +228,28 @@ func (b *Builder) DeclareMessage(name string, sender, receiver CellID, words int
 	}
 	id := MessageID(len(b.messages))
 	b.messages = append(b.messages, Message{ID: id, Name: name, Sender: sender, Receiver: receiver, Words: words})
+	if b.byName == nil {
+		b.byName = make(map[string]MessageID)
+	}
 	b.byName[name] = id
 	return id
 }
 
 // Write appends a W(msg) op to cell c's program.
 func (b *Builder) Write(c CellID, msg MessageID) *Builder {
-	b.code[c] = append(b.code[c], Op{Kind: Write, Msg: msg})
-	return b
+	return b.emit(c, Op{Kind: Write, Msg: msg})
 }
 
 // Read appends an R(msg) op to cell c's program.
 func (b *Builder) Read(c CellID, msg MessageID) *Builder {
-	b.code[c] = append(b.code[c], Op{Kind: Read, Msg: msg})
+	return b.emit(c, Op{Kind: Read, Msg: msg})
+}
+
+func (b *Builder) emit(c CellID, op Op) *Builder {
+	if b.code == nil {
+		b.code = make(map[CellID][]Op)
+	}
+	b.code[c] = append(b.code[c], op)
 	return b
 }
 

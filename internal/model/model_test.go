@@ -38,6 +38,35 @@ func TestBuildValidProgram(t *testing.T) {
 	}
 }
 
+// TestZeroBuilder: the zero Builder is ready to use, as its doc
+// comment promises — declaring cells, messages and ops initialises
+// the builder's maps on first use.
+func TestZeroBuilder(t *testing.T) {
+	var b Builder
+	c1 := b.AddCell("C1")
+	c2 := b.AddCell("C2")
+	a := b.DeclareMessage("A", c1, c2, 2)
+	b.Write(c1, a).Write(c1, a)
+	b.Read(c2, a).Read(c2, a)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.String(), "C1: W(A) W(A)\nC2: R(A) R(A)\n"; got != want {
+		t.Fatalf("program %q, want %q", got, want)
+	}
+	if m, ok := p.MessageByName("A"); !ok || m.ID != a {
+		t.Fatalf("MessageByName(A) = %+v, %v", m, ok)
+	}
+
+	var dup Builder
+	dup.AddCell("C1")
+	dup.AddCell("C1")
+	if _, err := dup.Build(); err == nil || !strings.Contains(err.Error(), "duplicate cell") {
+		t.Fatalf("expected duplicate-cell error from a zero Builder, got %v", err)
+	}
+}
+
 func TestOpKindString(t *testing.T) {
 	if Read.String() != "R" || Write.String() != "W" {
 		t.Fatal("OpKind.String wrong")
