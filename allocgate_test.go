@@ -62,6 +62,16 @@ func TestAllocGateExecuteScaleFree(t *testing.T) {
 	allocGate(t, "large-linear-1024", 48, a, systolic.ExecOptions{Capacity: 2})
 }
 
+// TestAllocGateParallel gates the opposite load shape: a 256-cell
+// wavefront with every cell active in parallel each cycle. Per-cycle
+// traffic must reuse pooled scratch, so the run holds the same budget
+// as the mostly-idle and 8-cell workloads above — flat in both the
+// array size and the cycle count.
+func TestAllocGateParallel(t *testing.T) {
+	a := wideLinearWorkload(t, 256, 4)
+	allocGate(t, "wide-linear-256", 48, a, systolic.ExecOptions{Capacity: 2})
+}
+
 // TestAllocGateSweepBatch gates the column-batched sweep driver: on
 // the benchmark grid (Figs 7–8 × 3 policies × 4 queue budgets × 3
 // capacities × 2 lookaheads = 144 points) the whole sweep — per-column
@@ -103,20 +113,4 @@ func TestAllocGateSweepBatch(t *testing.T) {
 	if perPoint > 8 {
 		t.Errorf("batched sweep: %.2f allocs per grid point, budget 8", perPoint)
 	}
-}
-
-// TestAllocGateParallel gates the sharded runner's steady state: a
-// 4-shard run on an all-active 256-cell wavefront may spend a fixed
-// extra budget per run (the run-scoped gang — goroutines, two
-// channels — plus shard bookkeeping) but must stay flat in both the
-// array size and the cycle count; per-cycle sink traffic has to reuse
-// pooled buffers. The budget is ~3x the measured steady state (~30),
-// mirroring the single-threaded gates above.
-func TestAllocGateParallel(t *testing.T) {
-	a := wideLinearWorkload(t, 256, 4)
-	allocGate(t, "wide-linear-256/workers=4", 96, a, systolic.ExecOptions{Capacity: 2, Workers: 4})
-	// Same machine, single-threaded through the same sharded code
-	// path: must hold the original budget, proving the refactor did
-	// not tax the Workers=1 hot path with allocations.
-	allocGate(t, "wide-linear-256/workers=1", 48, a, systolic.ExecOptions{Capacity: 2})
 }

@@ -284,9 +284,8 @@ func BenchmarkTheorem1_Pipeline(b *testing.B) {
 // 4542 → 2187 allocs/op, 551 → 206 KB/op, 1.61 → 0.70 ms/op — the
 // compile-once machine makes per-run allocations O(1) in steady state
 // (TestAllocGate* pins this). The batched-grid-execution pass
-// (column-batched sweep driver with per-span core.Runner, direct-mode
-// single-shard execution, policy-instance reuse, one-shot queue-buffer
-// growth) then took the same grid from 0.70 ms / 2187 allocs/op to
+// (column-batched sweep driver with per-span core.Runner,
+// policy-instance reuse, one-shot queue-buffer growth) then took the same grid from 0.70 ms / 2187 allocs/op to
 // ~0.35 ms / 914 allocs/op steady-state — 2× end to end, ~6.4 allocs
 // per grid point (TestAllocGateSweepBatch pins that). Identical
 // simulated cycle counts throughout: all refactors are
@@ -637,8 +636,8 @@ func BenchmarkLargeLinear(b *testing.B) {
 // largeLinearWorkload: every interior cell word-interleaves
 // R(M[i-1]) with W(M[i]), so once the wavefront fills, nearly all
 // cells issue and nearly all messages are in flight every cycle —
-// the per-cycle ready sets scale with the array, which is the regime
-// sharded execution exists for.
+// the per-cycle ready sets scale with the array, the scheduler's
+// busiest regime.
 func wideLinearProgram(b testing.TB, cells, words int) (*systolic.Program, systolic.Topology) {
 	b.Helper()
 	bd := systolic.NewProgram()
@@ -708,20 +707,16 @@ func meshFlowProgram(b testing.TB, rows, cols, words int) (*systolic.Program, sy
 	return p, systolic.Mesh(rows, cols)
 }
 
-// BenchmarkRunParallel is the perf gate for deterministic sharded
-// execution: the 1024-cell all-active wavefront and a 32×32 mesh
-// flood, single-threaded vs 4 shards. The workloads are compiled
-// directly (machine.Compile; the naive-FCFS policy needs no labels)
-// because crossing-off a million-op program is analysis cost, not
-// runner cost, and this benchmark measures the runner. The
-// interesting figures are ns/sim-cycle per worker count and the
-// allocs/op staying flat — the Results are byte-identical by
-// construction, so this benchmark is purely about wall clock. On a
-// single-CPU host the worker counts should roughly tie (the gang's
-// barrier cost is a few µs against tens of µs of per-cycle work); the
-// CI bench-smoke job records both sides in BENCH_parallel.json so the
-// trajectory is tracked wherever it runs.
-func BenchmarkRunParallel(b *testing.B) {
+// BenchmarkRunActive times the scheduler on two all-active shapes:
+// the 1024-cell wavefront and a 32×32 mesh flood. The workloads are
+// compiled directly (machine.Compile; the naive-FCFS policy needs no
+// labels) because crossing-off a million-op program is analysis cost,
+// not runner cost, and this benchmark measures the runner. Each shape
+// runs on one pinned Machine.NewExec after a warm-up run, so allocs/op
+// is the steady state of a run and does not depend on whether a GC
+// emptied the machine's sync.Pool mid-benchmark. The CI bench-smoke
+// job gates allocs/op, B/op and ns/sim-cycle against BENCH_run.json.
+func BenchmarkRunActive(b *testing.B) {
 	build := func(p *systolic.Program, topo systolic.Topology) *machine.Machine {
 		m, err := machine.Compile(p, topo, nil, nil)
 		if err != nil {
@@ -742,27 +737,28 @@ func BenchmarkRunParallel(b *testing.B) {
 		{"mesh-32x32", build(mp, mt)},
 	}
 	for _, wl := range workloads {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, workers), func(b *testing.B) {
-				var cycles int
-				for b.Loop() {
-					res, err := wl.m.Run(machine.ExecOptions{
-						Policy:        assign.Naive(assign.FCFS, 0),
-						QueuesPerLink: 1,
-						Capacity:      2,
-						Workers:       workers,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Completed {
-						b.Fatal(res.Outcome())
-					}
-					cycles = res.Cycles
+		b.Run(wl.name, func(b *testing.B) {
+			ex := wl.m.NewExec()
+			run := func() int {
+				res, err := ex.Run(machine.ExecOptions{
+					Policy:        assign.Naive(assign.FCFS, 0),
+					QueuesPerLink: 1,
+					Capacity:      2,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cycles), "sim-cycles")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/sim-cycle")
-			})
-		}
+				if !res.Completed {
+					b.Fatal(res.Outcome())
+				}
+				return res.Cycles
+			}
+			cycles := run() // size the pinned exec's scratch
+			for b.Loop() {
+				cycles = run()
+			}
+			b.ReportMetric(float64(cycles), "sim-cycles")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/sim-cycle")
+		})
 	}
 }

@@ -12,9 +12,7 @@
 //
 // FILE may be '-' for stdin. Flags for run: -queues N -capacity N
 // -policy compatible|static|fcfs|lifo|random|adversarial -seed N
-// -lookahead -timeline -force -workers N (deterministic sharded
-// execution: any worker count prints byte-identical output). Flags
-// for sweep: -sweep-policies, -sweep-queues, -sweep-capacities,
+// -lookahead -timeline -force. Flags for sweep: -sweep-policies, -sweep-queues, -sweep-capacities,
 // -sweep-lookaheads (comma-separated axis values) and -workers N; the
 // report marks which configurations deadlock and which Theorem 1
 // budgets avoid it.
@@ -23,11 +21,8 @@
 // (seeds -seed … -seed+n-1) and cross-checks the analyzer's Theorem 1
 // verdict against the simulator, reporting invariant violations and
 // minimized counterexamples. Pass -queues Q to force a budget below
-// the Theorem 1 bound and watch the predicted deadlocks appear;
-// -run-workers W > 1 re-executes every simulation sharded across W
-// workers and reports any divergence from the single-threaded run as
-// a parallel-equivalence violation; any reported seed replays with
-// -n 1 -seed S.
+// the Theorem 1 bound and watch the predicted deadlocks appear; any
+// reported seed replays with -n 1 -seed S.
 //
 // serve also takes no FILE: it starts the HTTP/JSON daemon
 // (-addr HOST:PORT -cache-size N -max-concurrency N -queue-wait N

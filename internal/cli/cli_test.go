@@ -112,29 +112,6 @@ func TestSysdlLabelPlanRunRender(t *testing.T) {
 	}
 }
 
-// TestSysdlRunWorkers: `sysdl run -workers N` must print exactly the
-// single-threaded bytes for every N — the CLI face of deterministic
-// sharded execution — including timeline and stats rendering.
-func TestSysdlRunWorkers(t *testing.T) {
-	var first string
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		opts := DefaultSysdlOptions()
-		opts.Workers = workers
-		opts.Timeline = true
-		opts.Stats = true
-		var b strings.Builder
-		code, err := Sysdl(&b, "run", sampleDSL, opts)
-		if err != nil || code != 0 {
-			t.Fatalf("workers=%d: code=%d err=%v\n%s", workers, code, err, b.String())
-		}
-		if first == "" {
-			first = b.String()
-		} else if b.String() != first {
-			t.Fatalf("run output differs at -workers %d:\n%s\nvs\n%s", workers, first, b.String())
-		}
-	}
-}
-
 func TestSysdlRunPolicies(t *testing.T) {
 	for _, policy := range []string{"compatible", "static", "fcfs", "lifo", "random", "adversarial"} {
 		opts := DefaultSysdlOptions()

@@ -36,27 +36,6 @@ func TestFuzzVerb(t *testing.T) {
 	}
 }
 
-// TestFuzzVerbRunWorkers: -run-workers pairs every simulation with a
-// sharded re-run; on the shipped runner that must add zero violations
-// and leave the rendered report's verdict clean.
-func TestFuzzVerbRunWorkers(t *testing.T) {
-	opts := DefaultSysdlOptions()
-	opts.FuzzN = 40
-	opts.RunWorkers = 3
-
-	var b strings.Builder
-	code, err := Sysdl(&b, "fuzz", "", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0\n%s", code, b.String())
-	}
-	if out := b.String(); !strings.Contains(out, "invariant violations: 0") {
-		t.Fatalf("parallel-equivalence fuzz reported violations:\n%s", out)
-	}
-}
-
 // TestFuzzVerbUnderBudget: forcing -queues 1 below the Theorem 1
 // bound demonstrates the predicted deadlocks without flipping the
 // exit code (they are expected counterexamples).

@@ -270,11 +270,6 @@ type ExecOptions struct {
 	// deliberately under-provisioned runs (used to demonstrate the
 	// failure modes the theorem excludes).
 	Force bool
-	// Workers selects deterministic sharded execution (0 or 1 =
-	// single-threaded). Every worker count produces byte-identical
-	// results; see machine.ExecOptions.Workers for the contract,
-	// including the concurrent-Logic caveat.
-	Workers int
 	// Context, when non-nil, cancels the run between simulated cycles;
 	// Execute then returns the wrapped context error.
 	Context context.Context
@@ -361,9 +356,6 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 	if opts.MaxCycles < 0 {
 		return nil, none, &OptionError{Op: "Execute", Field: "MaxCycles", Reason: fmt.Sprintf("negative cycle bound %d", opts.MaxCycles)}
 	}
-	if opts.Workers < 0 {
-		return nil, none, &OptionError{Op: "Execute", Field: "Workers", Reason: fmt.Sprintf("negative worker count %d (0 = single-threaded)", opts.Workers)}
-	}
 	if opts.Faults != nil {
 		if ferr := opts.Faults.Validate(a.Program.NumCells(), len(a.Topology.Links())); ferr != nil {
 			return nil, none, &OptionError{Op: "Execute", Field: "Faults", Reason: ferr.Error()}
@@ -417,7 +409,6 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 		Logic:            opts.Logic,
 		MaxCycles:        opts.MaxCycles,
 		RecordTimeline:   opts.RecordTimeline,
-		Workers:          opts.Workers,
 		Context:          opts.Context,
 		Faults:           opts.Faults,
 		LinkModel:        opts.LinkModel,

@@ -105,33 +105,6 @@ func TestDeterministicReport(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceOracle: with RunWorkers set the oracle
-// doubles every simulation with a sharded re-run and compares the two
-// — zero violations on the shipped runner, and the run count must
-// show the comparison actually happened.
-func TestParallelEquivalenceOracle(t *testing.T) {
-	single, err := Run(context.Background(), 60, 5, Options{Gen: gen.Options{Mutations: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paired, err := Run(context.Background(), 60, 5, Options{Gen: gen.Options{Mutations: 1}, RunWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range paired.Violations() {
-		t.Errorf("parallel-equivalence sweep: %s", v)
-	}
-	runs := func(r *Report) (n int) {
-		for _, res := range r.Results {
-			n += res.Runs
-		}
-		return n
-	}
-	if s, p := runs(single), runs(paired); p != 2*s {
-		t.Fatalf("RunWorkers=3 executed %d simulations over %d single-threaded — every run must be paired with a sharded re-run", p, s)
-	}
-}
-
 // TestUnderBudgetCounterexample: forcing queues below the Theorem 1
 // bound must produce at least one reproducible, minimized, replayable
 // counterexample — and no violations (the failures are expected).
@@ -282,7 +255,7 @@ func TestSummaryMentionsCounts(t *testing.T) {
 
 // TestLinkModelSweep: with the link-timing invariants enabled, a batch
 // of scenarios must pass noop-equivalence, completion under both
-// retimed models, and parallel equivalence — and the extra
+// retimed models — and the extra
 // simulations must actually run. The 200-scenario width is the CI
 // contract for sysdl fuzz -link-models.
 func TestLinkModelSweep(t *testing.T) {

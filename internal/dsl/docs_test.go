@@ -9,7 +9,7 @@ import (
 
 // extractFences returns the bodies of fenced code blocks whose info
 // string equals lang, in document order.
-func extractFences(t *testing.T, doc, lang string) []string {
+func extractFences(t testing.TB, doc, lang string) []string {
 	t.Helper()
 	var out []string
 	lines := strings.Split(doc, "\n")
@@ -32,7 +32,7 @@ func extractFences(t *testing.T, doc, lang string) []string {
 	return out
 }
 
-func readDoc(t *testing.T) string {
+func readDoc(t testing.TB) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("..", "..", "docs", "DSL.md"))
 	if err != nil {

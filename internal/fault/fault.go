@@ -310,7 +310,7 @@ type periodicGate struct {
 // Lowered is a Plan compiled against a concrete array: dense per-cell
 // and per-link tables the engines' hot paths index directly. Factor
 // encoding: 0 = no fault, ≥ 2 = periodic factor, -1 = dead/severed.
-// Immutable after Lower; safe to share read-only across shards.
+// Immutable after Lower; safe to share read-only across concurrent runs.
 type Lowered struct {
 	cellFactor []int32
 	cellFrom   []int32

@@ -24,10 +24,8 @@
 //
 // Determinism argument: during a cycle's phases the busy state is
 // read-only — a pure function of per-link next-free cycles computed
-// at the END of the previous cycle by the coordinating goroutine.
-// Per-cycle word tallies accumulate commutatively (shards append
-// link hits to their private sinks; the merge sums them), so the
-// next-free table is identical for every worker count. Deadlock
+// at the END of the previous cycle from that cycle's per-link word
+// tallies. Deadlock
 // detection waits for a no-event cycle on which every link is free
 // again: busy windows are finite (≤ the tallied words × max factor),
 // so a frozen system reaches an all-free cycle and the no-event
@@ -368,7 +366,7 @@ func ParseSpec(spec string) (*Plan, error) {
 // Lowered is a Plan compiled against a concrete topology: dense
 // per-link delay and credit tables the engines' hot paths index
 // directly, plus the congestion feedback parameters. Immutable after
-// Lower; safe to share read-only across shards.
+// Lower; safe to share read-only across concurrent runs.
 type Lowered struct {
 	delay      []int32
 	credit     []int32

@@ -8,10 +8,10 @@ import (
 
 // Hotalloc is the static counterpart of the TestAllocGate* dynamic
 // gates: functions marked //sysvet:hotpath (the per-cycle scheduler
-// phases in machine/exec.go and machine/parallel.go, the sweep inner
-// loop) run millions of times per simulation and hold an 8–16-alloc
-// budget per run, so they must not call fmt, box concrete values into
-// interfaces, or allocate closures.
+// phases in machine/exec.go, the sweep inner loop) run millions of
+// times per simulation and hold an 8–16-alloc budget per run, so they
+// must not call fmt, box concrete values into interfaces, or allocate
+// closures.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid fmt calls, interface boxing, and closure allocation " +

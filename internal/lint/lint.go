@@ -45,7 +45,7 @@ type Analyzer struct {
 
 // Pass carries one package through one analyzer, mirroring
 // go/analysis.Pass: parsed files, type information, and a Report
-// sink. Dirs exposes the package's sysvet directives so analyzers
+// callback. Dirs exposes the package's sysvet directives so analyzers
 // with their own directive semantics (detorder's unordered,
 // hotalloc's hotpath) can consult them.
 type Pass struct {

@@ -6,9 +6,9 @@ package hotallocfix
 
 import "fmt"
 
-func sink(v any) { _ = v }
+func consume(v any) { _ = v }
 
-func sinkMany(vs ...any) { _ = vs }
+func consumeMany(vs ...any) { _ = vs }
 
 //sysvet:hotpath
 func hot(xs []int) {
@@ -19,9 +19,9 @@ func hot(xs []int) {
 	var w any
 	w = xs[0] // want `hot path hot boxes int into any`
 	_ = w
-	sink(xs[0])     // want `hot path hot boxes int into any parameter of sink`
-	sinkMany(xs[0]) // want `hot path hot boxes int into any parameter of sinkMany`
-	_ = any(xs[0])  // want `hot path hot converts int to interface any`
+	consume(xs[0])     // want `hot path hot boxes int into any parameter of consume`
+	consumeMany(xs[0]) // want `hot path hot boxes int into any parameter of consumeMany`
+	_ = any(xs[0])     // want `hot path hot converts int to interface any`
 	_ = v
 }
 
@@ -39,22 +39,22 @@ func hotClean(xs []int) int {
 		total += x
 	}
 	var v any
-	sink(v) // interface-to-interface: no boxing
-	sink(nil)
+	consume(v) // interface-to-interface: no boxing
+	consume(nil)
 	vs := []any{}
-	sinkMany(vs...) // pass-through slice: no per-element boxing
+	consumeMany(vs...) // pass-through slice: no per-element boxing
 	return total
 }
 
 //sysvet:hotpath
 func hotIgnored(xs []int) {
 	//sysvet:ignore hotalloc -- fixture: proves hotalloc suppression
-	sink(xs[0])
+	consume(xs[0])
 }
 
 func cold(xs []int) {
 	// Unmarked functions may allocate freely.
 	fmt.Println(xs)
-	sink(xs[0])
+	consume(xs[0])
 	_ = func() int { return len(xs) }
 }

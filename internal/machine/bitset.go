@@ -10,23 +10,12 @@ package machine
 // sorted insertions disappear entirely. At 32×32-mesh scale a set
 // over every message is 1–2 cache lines instead of a pointer-chased
 // pair of slices.
-//
-// Concurrency contract: bits in one word are NOT independent memory
-// locations, so a bitset is only ever mutated by the coordinator —
-// at init, between phase barriers, and while merging shard sinks.
-// Worker shards treat every bitset as read-only and defer their
-// membership changes through their sink, exactly as they already
-// defer every other shared-structure effect (see parallel.go). The
-// byte-granular flag arrays that shards do write in place (issued,
-// writeReady, the per-hop requested flags) stay []bool for exactly
-// this reason.
 
 import "math/bits"
 
 // bitset is a set of small non-negative integers with a cached
 // cardinality. The zero value is an empty set of capacity 0; sizeTo
-// prepares it for a run. All methods are coordinator-only (see the
-// package comment above).
+// prepares it for a run.
 type bitset struct {
 	words []uint64
 	count int
@@ -61,18 +50,6 @@ func (b *bitset) drop(i int) {
 		b.count--
 	}
 }
-
-// has reports membership of i.
-//
-//sysvet:hotpath
-func (b *bitset) has(i int) bool {
-	return b.words[i>>6]&(uint64(1)<<(i&63)) != 0
-}
-
-// len returns the number of members.
-//
-//sysvet:hotpath
-func (b *bitset) len() int { return b.count }
 
 // clearAll empties the set, keeping its capacity.
 //
@@ -117,6 +94,11 @@ func (b *bitset) copyFrom(src *bitset) {
 //
 //sysvet:hotpath
 func (b *bitset) next(i int) int {
+	if b.count == 0 {
+		// Most phases of an idle cycle find their set empty; skip the
+		// word scan.
+		return -1
+	}
 	if i < 0 {
 		i = 0
 	}

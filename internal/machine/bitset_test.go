@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// has reports membership of i.
+func (b *bitset) has(i int) bool {
+	return b.words[i>>6]&(uint64(1)<<(i&63)) != 0
+}
+
+// len returns the cached member count.
+func (b *bitset) len() int { return b.count }
+
 // collect iterates b the canonical way and returns the members.
 func collect(b *bitset) []int {
 	var out []int

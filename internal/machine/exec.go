@@ -52,20 +52,16 @@ import (
 // entries the reference scan could act on, so skipped entries are
 // exactly its no-ops.
 //
-// Since the deterministic-sharding refactor every ready-set phase is
-// written against a shard: fn(s) visits only the entries shard s owns
-// (a contiguous id range of the set's key space, or the messages
-// whose contended cell lies in s's cell range) and defers every
-// shared-structure effect to sinks[s], which the coordinator merges
-// in ascending shard order after the phase (see parallel.go for the
-// ownership and merge-order argument — id-range chunks concatenate
-// to the full ascending order just as position chunks of a sorted
-// list did). Workers=1 runs the same phases over a single shard, with
-// one shortcut: in direct mode (exec.direct) the note*/shard sites
-// apply each effect to the canonical structure in place and the
-// merges are skipped — see the direct field's comment for the
-// per-structure safety argument, and parallel.go's header for why
-// this stays byte-identical.
+// Every phase is one ascending loop over its ready set that applies
+// its effects in place. No phase inserts into the set it iterates,
+// so each insertion is first seen by a later phase: requests arm
+// pools for this cycle's grant phase, writes add to the transport set
+// after reads and advances have scanned it, new writers land in the
+// live set after this cycle's snapshot, and dirty cells, request
+// checks, moved messages and released pools wait for the next
+// collect, release and grant phases. The read phase drops drained
+// messages from the transport set it iterates, which bitset.next
+// allows.
 //
 // Blocked-cycle accounting is derived in closed form at the end of a
 // run (per cell: cycles elapsed while unfinished minus ops issued)
@@ -123,29 +119,22 @@ type exec struct {
 	finishedAt []int // per cell: cycle of its final issue
 	remaining  int   // cells with ops left
 
-	// The ready sets. Every one is coordinator-owned (see bitset.go's
-	// concurrency contract): workers read them during a phase and
-	// defer membership changes through their sink; only the
-	// coordinator flips bits, at init, between phase barriers, and in
-	// mergeSinks.
+	// The ready sets.
 
 	// dirty holds the cells whose pc advanced since the last collect.
 	dirty bitset
 	// transport holds the messages with words buffered somewhere on
 	// their route (written > read): the only messages reads and
-	// interior advances can act on. Drained entries are flagged by
-	// the read shards (sink.drops) and dropped by the coordinator
-	// before the advance phase — the bitset analogue of the old
-	// keep-flag compaction.
+	// interior advances can act on. The read phase drops drained
+	// entries, so the advance phase sees the post-drop set.
 	transport bitset
 	// writers holds the messages whose sender is parked at W(msg)
 	// with the first-hop queue bound: the only candidates for sender
 	// writes and capacity-0 rendezvous. Maintained by the grant and
 	// pc-advance hooks; writerSnap snapshots it each cycle so
-	// mid-cycle insertions target the real set. writeReady stays a
-	// byte-flag array because write shards clear entries in place
-	// mid-phase, and bits within one bitset word are not independent
-	// memory locations.
+	// mid-cycle insertions target the real set. writeReady is the
+	// membership flag the write phase clears for stale entries; the
+	// set itself is compacted against it at the next snapshot.
 	writers    bitset
 	writerSnap bitset
 	writeReady []bool
@@ -181,8 +170,7 @@ type exec struct {
 	ctx assign.Context // per-run policy context; fields are shared read-only views
 
 	// faults holds the run's lowered fault tables; nil on fault-free
-	// runs, so every hot-path gate is a single pointer test. The
-	// tables are immutable, making concurrent shard reads safe. Gates
+	// runs, so every hot-path gate is a single pointer test. Gates
 	// sit at the four operation-issue sites (reads, interior advances,
 	// sender writes, rendezvous), each checked *after* every fault-free
 	// readiness criterion, so the gated-op count — and therefore every
@@ -199,46 +187,18 @@ type exec struct {
 	// waiting out a busy window. Gates sit immediately before the
 	// fault link gates at the three link-crossing sites (interior
 	// advances, sender writes, rendezvous) and are pure reads during a
-	// phase; tallies ride the shard sinks (increments commute) and the
-	// coordinator folds them — and recomputes nextFree — at end of
-	// cycle (lmEndCycle), so every worker count produces the same
-	// bytes. A busy-link stall is timing, not degradation: it does not
-	// count toward GatedOps.
+	// phase; nextFree is recomputed from the tallies at end of cycle
+	// (lmEndCycle). A busy-link stall is timing, not degradation: it
+	// does not count toward GatedOps.
 	lm         *linkmodel.Lowered
 	lmNextFree []int
 	lmTally    []int32
 	lmDirty    []int32
 	lmBusyMax  int
 
-	// Sharded-execution state (see parallel.go). workers is the shard
-	// count (1 = single-threaded); recvShard/sendShard map each message
-	// to the shard owning its receiver/sender cell (only filled when
-	// workers > 1); gang is the run-scoped worker pool (nil when
-	// workers == 1). The fn* fields hold the phase closures, bound once
-	// per exec so dispatch never allocates.
-	// direct (workers == 1) short-circuits the sink machinery: with a
-	// single shard there is no barrier for a deferred effect to cross,
-	// and every sink merge is the identity reordering — the coordinator
-	// is the worker, so each note* site applies its effect in place and
-	// the per-phase merges are skipped. The applied order is exactly
-	// the one-sink merge order (append order), so results stay
-	// byte-identical to sharded execution; the cross-worker-count
-	// equivalence suites enforce this.
-	direct      bool
-	workers     int
-	recvShard   []int32
-	sendShard   []int32
-	sinks       []sink
-	gang        *gang
 	hasInterior bool // any route longer than one hop
 	cancel      <-chan struct{}
 	cancelled   bool
-	fnFirstHop  func(int)
-	fnInterior  func(int)
-	fnReads     func(int)
-	fnAdvances  func(int)
-	fnWrites    func(int)
-	fnRelease   func(int)
 
 	res   Result
 	stats Stats
@@ -364,48 +324,11 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.armedScratch.sizeTo(e.numPools)
 	e.cooling = e.cooling[:0]
 
-	// Shard layout. The worker count is clamped to the cell count (an
-	// empty shard can own nothing) and to maxWorkers; the clamp is
-	// invisible in the Result because every worker count produces the
-	// same bytes.
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers > cells && cells > 0 {
-		workers = cells
-	}
-	e.workers = workers
-	e.direct = workers == 1
-	e.sinks = grow(e.sinks, workers)
-	for i := range e.sinks {
-		e.sinks[i].reset()
-	}
-	if workers > 1 {
-		e.recvShard = grow(e.recvShard, msgs)
-		e.sendShard = grow(e.sendShard, msgs)
-		for id := 0; id < msgs; id++ {
-			e.recvShard[id] = int32(shardOf(int(m.receiver[id]), cells, workers))
-			e.sendShard[id] = int32(shardOf(int(m.sender[id]), cells, workers))
-		}
-	}
-	e.gang = nil // spawned lazily by the first fanout that needs it
 	e.hasInterior = m.maxRouteLen > 1
 	e.cancel = nil
 	e.cancelled = false
 	if opts.Context != nil {
 		e.cancel = opts.Context.Done()
-	}
-	if e.fnFirstHop == nil {
-		e.fnFirstHop = e.collectFirstHopShard
-		e.fnInterior = e.collectInteriorShard
-		e.fnReads = e.readShard
-		e.fnAdvances = e.advanceShard
-		e.fnWrites = e.writeShard
-		e.fnRelease = e.releaseShard
 	}
 
 	if e.reuse {
@@ -426,15 +349,8 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 
 // release clears every reference that escaped into the returned
 // Result (and the per-run inputs) before the exec returns to the
-// machine's pool. It also stops a still-live gang: run() tears the
-// gang down on every exit path, but a run that never starts — a
-// Policy.Setup failure after init — would otherwise strand the
-// workers forever when the pooled exec is reused or dropped.
+// machine's pool.
 func (e *exec) release() {
-	if e.gang != nil {
-		e.gang.stop()
-		e.gang = nil
-	}
 	e.m = nil
 	e.logic = nil
 	e.policy = nil
@@ -446,14 +362,6 @@ func (e *exec) release() {
 	e.ctx = assign.Context{}
 	e.res = Result{}
 	e.stats = Stats{}
-}
-
-// owns reports whether shard s owns cell c. With one worker the
-// shard maps are not built and shard 0 owns everything.
-//
-//sysvet:hotpath
-func (e *exec) owns(s int, shard []int32, id model.MessageID) bool {
-	return e.workers == 1 || int(shard[id]) == s
 }
 
 // poolOf returns the pool serving hop i of message id under the
@@ -481,28 +389,22 @@ func (e *exec) linkFree(lk topology.LinkID) bool {
 	return e.now >= e.lmNextFree[lk]
 }
 
-// noteLinkHit tallies one word crossing link lk this cycle. Direct
-// mode folds into coordinator state; sharded mode defers through the
-// sink (increments commute, so merge order cannot be observed).
-// Callers gate with e.lm != nil.
+// noteLinkHit tallies one word crossing link lk this cycle. Callers
+// gate with e.lm != nil.
 //
 //sysvet:hotpath
-func (e *exec) noteLinkHit(lk topology.LinkID, sk *sink) {
-	if e.direct {
-		if e.lmTally[lk] == 0 {
-			e.lmDirty = append(e.lmDirty, int32(lk))
-		}
-		e.lmTally[lk]++
-		return
+func (e *exec) noteLinkHit(lk topology.LinkID) {
+	if e.lmTally[lk] == 0 {
+		e.lmDirty = append(e.lmDirty, int32(lk))
 	}
-	sk.linkHits = append(sk.linkHits, int32(lk))
+	e.lmTally[lk]++
 }
 
 // lmEndCycle closes the cycle's link occupancy: every link with
 // traffic this cycle gets a busy window from the model
 // (nextFree = now + Busy(link, tally)), and the tallies reset.
-// Coordinator-only, after the release phase — the reference engine
-// runs the identical fold at the identical point.
+// It runs after the release phase — the reference engine runs the
+// identical fold at the identical point.
 //
 //sysvet:hotpath
 func (e *exec) lmEndCycle() {
@@ -515,17 +417,6 @@ func (e *exec) lmEndCycle() {
 		e.lmTally[l] = 0
 	}
 	e.lmDirty = e.lmDirty[:0]
-}
-
-// noteGated counts one operation held back by a fault gate.
-//
-//sysvet:hotpath
-func (e *exec) noteGated(sk *sink) {
-	if e.direct {
-		e.stats.GatedOps++
-		return
-	}
-	sk.gated++
 }
 
 // pool returns the queue instances of pool p.
@@ -548,63 +439,26 @@ func (e *exec) hopOn(pool int, msg model.MessageID) int {
 	return -1
 }
 
-// armPool re-arms a pool immediately. Coordinator-only (grantPhase);
-// sharded phases defer arming through their sink instead.
+// request queues msg for pool and arms the pool for this cycle's
+// grant phase.
 //
 //sysvet:hotpath
-func (e *exec) armPool(p int) {
-	e.armed.add(p)
-}
-
-// noteTransport records that id now has buffered words. Reading the
-// transport set is safe mid-phase (nothing mutates it inside a
-// phase, and the drop pass ran before this phase); the insertion is
-// deferred to the merge. A sender writes at most one word per cycle,
-// so the sink sees each id at most once.
-//
-//sysvet:hotpath
-func (e *exec) noteTransport(id model.MessageID, sk *sink) {
-	if e.transport.has(int(id)) {
-		return
-	}
-	if e.direct {
-		// Safe in place: the write phase is the only caller, and the
-		// transport set's iterations (reads, advances) ran earlier in
-		// the cycle.
-		e.transport.add(int(id))
-		return
-	}
-	sk.transport = append(sk.transport, id)
+func (e *exec) request(pool int, msg model.MessageID) {
+	e.pending[pool] = append(e.pending[pool], msg)
+	e.armed.add(pool)
 }
 
 // noteWriter records that id's sender is parked at W(id) with the
 // first-hop queue bound. Called from the grant hook and the
 // pc-advance hook, which together cover both orders the two
-// conditions can become true in.
+// conditions can become true in. A grant inserts before this cycle's
+// writer snapshot, so the sender may write in the same cycle, exactly
+// as the reference engine's in-line insertion allows; a pc advance
+// inserts after it, so the entry waits for the next cycle, as the
+// reference engine's issued-flag check makes it.
 //
 //sysvet:hotpath
-func (e *exec) noteWriter(id model.MessageID, sk *sink) {
-	if e.writeReady[id] {
-		return
-	}
-	e.writeReady[id] = true
-	if e.direct {
-		// Safe in place: the writer snapshot for this cycle was taken
-		// before any phase that can reach here, so the insertion lands
-		// in next cycle's snapshot exactly as the merged path's would.
-		e.writers.add(int(id))
-		return
-	}
-	sk.writers = append(sk.writers, id)
-}
-
-// noteWriterNow is noteWriter for the coordinator-only grant phase,
-// which must insert immediately: the writer snapshot taken at the top
-// of the same cycle's transfer phase has to see grants made this
-// cycle, exactly as the reference engine's in-line insertion does.
-//
-//sysvet:hotpath
-func (e *exec) noteWriterNow(id model.MessageID) {
+func (e *exec) noteWriter(id model.MessageID) {
 	if !e.writeReady[id] {
 		e.writeReady[id] = true
 		e.writers.add(int(id))
@@ -614,118 +468,55 @@ func (e *exec) noteWriterNow(id model.MessageID) {
 // noteReqCheck records a push into one of id's queues: its next hop
 // may now be requestable. On machines where every route is a single
 // hop there are no interior hops to request, so the set stays empty
-// and the interior phases are skipped outright. The merge dedups via
-// the bitset; the tail check only folds the back-to-back repeats the
-// interior advance loop produces for one multi-hop message.
+// and the interior collect is skipped outright.
 //
 //sysvet:hotpath
-func (e *exec) noteReqCheck(id model.MessageID, sk *sink) {
-	if !e.hasInterior {
-		return
+func (e *exec) noteReqCheck(id model.MessageID) {
+	if e.hasInterior {
+		e.reqSet.add(int(id))
 	}
-	if e.direct {
-		e.reqSet.add(int(id)) // idempotent; no dedup needed
-		return
-	}
-	if n := len(sk.reqCheck); n > 0 && sk.reqCheck[n-1] == id {
-		return
-	}
-	sk.reqCheck = append(sk.reqCheck, id)
-}
-
-// noteMoved records a departure event: one of id's queues may now be
-// releasable. Dedup happens at the bitset merge, with the same tail
-// check as noteReqCheck for intra-message repeats.
-//
-//sysvet:hotpath
-func (e *exec) noteMoved(id model.MessageID, sk *sink) {
-	if e.direct {
-		e.movedSet.add(int(id)) // idempotent; no dedup needed
-		return
-	}
-	if n := len(sk.moved); n > 0 && sk.moved[n-1] == id {
-		return
-	}
-	sk.moved = append(sk.moved, id)
 }
 
 // noteEvent records per-cycle progress: the cycle saw an event (so the
-// run is not deadlocked) and words hop traversals. Direct mode folds
-// both straight into coordinator state; otherwise the shard sink
-// accumulates and mergeSinks folds.
+// run is not deadlocked) and words hop traversals.
 //
 //sysvet:hotpath
-func (e *exec) noteEvent(sk *sink, words int) {
-	if e.direct {
-		e.moved = true
-		e.stats.WordsMoved += words
-		return
-	}
-	sk.anyEvent = true
-	sk.wordsMoved += words
+func (e *exec) noteEvent(words int) {
+	e.moved = true
+	e.stats.WordsMoved += words
 }
 
 // noteCooling registers a queue whose Pop may have armed an
 // extension-access cooldown.
 //
 //sysvet:hotpath
-func (e *exec) noteCooling(qi *queueInst, sk *sink) {
+func (e *exec) noteCooling(qi *queueInst) {
 	if !qi.cooling && qi.q.Cooling() {
 		qi.cooling = true
-		if e.direct {
-			e.cooling = append(e.cooling, qi.slot)
-			return
-		}
-		sk.cooling = append(sk.cooling, qi.slot)
+		e.cooling = append(e.cooling, qi.slot)
 	}
-}
-
-// markCellDirty records a cell whose pc advanced. A cell issues at
-// most once per cycle (the issued flag guards every advancePC call
-// site), so the sink sees each cell at most once and the bitset
-// merge needs no worker-side flag.
-//
-//sysvet:hotpath
-func (e *exec) markCellDirty(c int, sk *sink) {
-	if e.direct {
-		e.dirty.add(c) // next collect reads it; this cycle's already ran
-		return
-	}
-	sk.dirty = append(sk.dirty, c)
 }
 
 // advancePC issues cell c's front op: one op per cell per cycle. When
 // the new front op is a write on an already-granted message, the
-// message joins the writer set directly; otherwise the dirty-cell
-// pass handles any first-hop queue request. Only c's owning shard may
-// call this.
+// message joins the writer set directly; otherwise the next collect's
+// dirty-cell pass handles any first-hop queue request.
 //
 //sysvet:hotpath
-func (e *exec) advancePC(c int, sk *sink) {
+func (e *exec) advancePC(c int) {
 	e.pc[c]++
 	e.issued[c] = true
-	if e.direct {
-		e.issuedList = append(e.issuedList, c)
-	} else {
-		sk.issued = append(sk.issued, c)
-	}
+	e.issuedList = append(e.issuedList, c)
 	if e.pc[c] >= len(e.m.code(c)) {
 		e.finishedAt[c] = e.now
-		if e.direct {
-			e.remaining--
-		} else {
-			sk.remainingDelta--
-		}
+		e.remaining--
 		return
 	}
-	e.markCellDirty(c, sk)
+	e.dirty.add(c)
 	if op := e.m.code(c)[e.pc[c]]; op.Kind == model.Write {
 		ms := &e.msgs[op.Msg]
-		// Reading another message's queue-pointer table is safe here:
-		// bindings only change in the grant and release phases, which
-		// never overlap a phase that advances program counters.
 		if len(ms.queues) > 0 && ms.queues[0] != nil {
-			e.noteWriter(op.Msg, sk)
+			e.noteWriter(op.Msg)
 		}
 	}
 }
@@ -733,15 +524,7 @@ func (e *exec) advancePC(c int, sk *sink) {
 // run executes the scheduler loop. The cycle structure — tick,
 // collect, grant, transfer, release, deadlock check — is the
 // reference engine's, with each phase visiting only its ready set.
-// The gang (when present) is torn down on every exit path, so a
-// pooled exec never strands goroutines.
 func (e *exec) run(maxCycles int) {
-	defer func() {
-		if e.gang != nil {
-			e.gang.stop()
-			e.gang = nil
-		}
-	}()
 	for e.now = 0; e.now < maxCycles; e.now++ {
 		if e.remaining == 0 {
 			break
@@ -818,57 +601,11 @@ func (e *exec) anyCooling() bool {
 // its header is buffered at the cell feeding that hop (§5). First-hop
 // checks run over dirty cells in cell order, then interior checks
 // over live messages in message order — the same relative append
-// order the reference full scan produces. Both sub-phases split the
-// key space into contiguous id ranges, one per shard; bitset
-// iteration is ascending within a range, so the shard-order merge
-// restores the full ascending append order for any worker count.
+// order the reference full scan produces.
 //
 //sysvet:hotpath
 func (e *exec) collectRequests() {
-	e.fanout(e.dirty.len(), e.fnFirstHop)
-	if !e.direct {
-		e.mergeCollect()
-	}
-	e.dirty.clearAll()
-
-	if e.hasInterior {
-		e.fanout(e.reqSet.len(), e.fnInterior)
-		if !e.direct {
-			e.mergeCollect()
-		}
-		e.reqSet.clearAll()
-	}
-}
-
-// mergeCollect drains the collect shards' sinks, which only ever
-// carry pending requests; the requested pool arms as a consequence of
-// the request itself. A dedicated merge spares the collect phases —
-// two of the cycle's barriers — the full 11-field sink sweep.
-//
-//sysvet:hotpath
-func (e *exec) mergeCollect() {
-	for s := range e.sinks {
-		sk := &e.sinks[s]
-		for _, pr := range sk.pending {
-			e.pending[pr.pool] = append(e.pending[pr.pool], pr.msg)
-			e.armed.add(pr.pool)
-		}
-		sk.pending = sk.pending[:0]
-	}
-}
-
-// collectFirstHopShard checks shard s's id range of the dirty set for
-// senders parked at an unrequested W. Every touched flag
-// (requested[0]) belongs to the range's own messages — a message's
-// first-hop request can only come from its one sender. The set
-// itself is read-only here; the coordinator clears it wholesale once
-// every shard has consumed its range.
-//
-//sysvet:hotpath
-func (e *exec) collectFirstHopShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.pc), e.workers, s)
-	for c := e.dirty.next(lo); c >= 0 && c < hi; c = e.dirty.next(c + 1) {
+	for c := e.dirty.next(0); c >= 0; c = e.dirty.next(c + 1) {
 		code := e.m.code(c)
 		if e.pc[c] >= len(code) {
 			continue
@@ -880,28 +617,17 @@ func (e *exec) collectFirstHopShard(s int) {
 		ms := &e.msgs[op.Msg]
 		if len(ms.queues) > 0 && !ms.requested[0] {
 			ms.requested[0] = true
-			pool := e.poolOf(op.Msg, 0)
-			if e.direct {
-				e.pending[pool] = append(e.pending[pool], op.Msg)
-				e.armed.add(pool)
-			} else {
-				sk.pending = append(sk.pending, pendReq{pool: pool, msg: op.Msg})
-			}
+			e.request(e.poolOf(op.Msg, 0), op.Msg)
 		}
 	}
-}
+	e.dirty.clearAll()
 
-// collectInteriorShard checks shard s's id range of the reqSet:
-// only messages pushed into since the last collect can have a newly
-// non-empty queue; requested flags make re-checks of older non-empty
-// queues no-ops, so this subset in ascending order appends to the
-// pending lists exactly as the full message scan did.
-//
-//sysvet:hotpath
-func (e *exec) collectInteriorShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.msgs), e.workers, s)
-	for id := e.reqSet.next(lo); id >= 0 && id < hi; id = e.reqSet.next(id + 1) {
+	// Only messages pushed into since the last collect can have a
+	// newly non-empty queue; requested flags make re-checks of older
+	// non-empty queues no-ops, so this subset in ascending order
+	// appends to the pending lists exactly as the full message scan
+	// did.
+	for id := e.reqSet.next(0); id >= 0; id = e.reqSet.next(id + 1) {
 		ms := &e.msgs[id]
 		for hop := 1; hop < len(ms.queues); hop++ {
 			if ms.requested[hop] || ms.queues[hop-1] == nil {
@@ -909,30 +635,24 @@ func (e *exec) collectInteriorShard(s int) {
 			}
 			if ms.queues[hop-1].q.Len() > 0 {
 				ms.requested[hop] = true
-				pool := e.poolOf(model.MessageID(id), hop)
-				if e.direct {
-					e.pending[pool] = append(e.pending[pool], model.MessageID(id))
-					e.armed.add(pool)
-				} else {
-					sk.pending = append(sk.pending, pendReq{pool: pool, msg: model.MessageID(id)})
-				}
+				e.request(e.poolOf(model.MessageID(id), hop), model.MessageID(id))
 			}
 		}
 	}
+	e.reqSet.clearAll()
 }
 
 // grantPhase invokes the policy for every armed pool in ascending
 // pool order. A pool re-arms whenever its free count or pending list
 // changes, so every invocation the reference engine's per-cycle sweep
-// would have made that could matter is made here too. The phase runs
-// entirely on the coordinator: policy instances are stateful and
-// their call order is part of the observable behavior.
+// would have made that could matter is made here too. Policy
+// instances are stateful and their call order is part of the
+// observable behavior.
 //
 //sysvet:hotpath
 func (e *exec) grantPhase() {
 	// Swap the armed set with the (empty) scratch set: pools re-armed
-	// while granting — by armPool below or a shard sink next phase —
-	// land in the fresh set and are visited next grantPhase, never
+	// while granting or by a later phase land in the fresh set and are visited next grantPhase, never
 	// the one being iterated.
 	e.armed, e.armedScratch = e.armedScratch, e.armed
 	for pid := e.armedScratch.next(0); pid >= 0; pid = e.armedScratch.next(pid + 1) {
@@ -969,7 +689,7 @@ func (e *exec) grantPhase() {
 			e.moved = true
 			e.stats.Grants++
 			e.removePending(pid, msg)
-			e.armPool(pid)
+			e.armed.add(pid)
 			if hop == 0 {
 				// The sender may already be parked at W(msg) waiting
 				// for exactly this grant.
@@ -977,7 +697,7 @@ func (e *exec) grantPhase() {
 				code := e.m.code(c)
 				if e.pc[c] < len(code) {
 					if op := code[e.pc[c]]; op.Kind == model.Write && op.Msg == msg {
-						e.noteWriterNow(msg)
+						e.noteWriter(msg)
 					}
 				}
 			}
@@ -1010,12 +730,7 @@ func (e *exec) removePending(pool int, msg model.MessageID) {
 // operation per cycle. All four sub-phases iterate live messages in
 // ascending id order; a cell's front op names exactly one message, so
 // this visits the same actions as the reference engine's cell-order
-// scans. Reads are sharded by receiver cell and writes by sender cell
-// (the issue slot is the only cross-message contention point, and it
-// is always intra-shard); interior advances, which are fully
-// message-local, chunk by position. One merge at the end covers all
-// four sub-phases: nothing they defer is consumed before the release
-// phase.
+// scans.
 //
 //sysvet:hotpath
 func (e *exec) cellAndTransferPhase() {
@@ -1026,9 +741,8 @@ func (e *exec) cellAndTransferPhase() {
 	// Snapshot (and compact) the writer set up front: entries added
 	// mid-cycle belong to cells that have already issued, so deferring
 	// them to the next cycle is exactly what the issued-flag check in
-	// the full-scan engine did. Entries whose writeReady flag was
-	// cleared by a write shard last cycle are dropped here, on the
-	// coordinator — the one place the writers bitset may be mutated.
+	// the full-scan engine did. Entries whose writeReady flag the
+	// write phase cleared last cycle are dropped here.
 	for id := e.writers.next(0); id >= 0; id = e.writers.next(id + 1) {
 		if !e.writeReady[id] {
 			e.writers.drop(id)
@@ -1036,65 +750,29 @@ func (e *exec) cellAndTransferPhase() {
 	}
 	e.writerSnap.copyFrom(&e.writers)
 
-	// 1. Receiver reads from buffered last-hop queues, sharded by
-	// receiver cell. Workers flag drained entries in their drop
-	// sinks; the coordinator removes them afterwards, before the
-	// advance phase iterates the set.
-	e.fanout(e.transport.len(), e.fnReads)
-	if !e.direct {
-		for s := range e.sinks {
-			sk := &e.sinks[s]
-			for _, id := range sk.drops {
-				e.transport.drop(int(id))
-			}
-			sk.drops = sk.drops[:0]
-		}
-	}
-
-	// 2. Interior advances, last hop toward receiver first. Single-hop
-	// machines have no interior queues to advance.
+	e.readPhase()
+	// Single-hop machines have no interior queues to advance.
 	if e.hasInterior {
-		e.fanout(e.transport.len(), e.fnAdvances)
+		e.advancePhase()
 	}
-
-	// 3. Capacity-0 rendezvous: single-hop messages hand a word
-	//    directly from a writing sender to a reading receiver. Runs on
-	//    the coordinator (it issues at two cells at once).
 	if e.capacity == 0 {
-		e.rendezvous(&e.sinks[0])
+		e.rendezvous()
 	}
-
-	// 4. Sender writes into first-hop queues, sharded by sender cell.
-	e.fanout(e.writerSnap.len(), e.fnWrites)
-
-	if !e.direct {
-		e.mergeSinks()
-	}
+	e.writePhase()
 }
 
-// readShard serves receiver reads for the transport entries shard s
-// owns (messages whose receiver cell is in s's range). Only messages
-// with buffered words can serve a read; fully drained entries are
-// flagged for removal via the drop sink (only the coordinator may
-// mutate the set).
+// readPhase serves receiver reads from buffered last-hop queues. Only
+// messages with buffered words can serve a read; fully drained
+// entries leave the transport set here, before the advance phase
+// iterates it.
 //
 //sysvet:hotpath
-func (e *exec) readShard(s int) {
-	sk := &e.sinks[s]
+func (e *exec) readPhase() {
 	for i := e.transport.next(0); i >= 0; i = e.transport.next(i + 1) {
 		id := model.MessageID(i)
-		if !e.owns(s, e.recvShard, id) {
-			continue
-		}
 		ms := &e.msgs[id]
 		if ms.written == ms.read {
-			if e.direct {
-				// Dropping the current member mid-iteration is safe,
-				// and every later sub-phase must see the post-drop set.
-				e.transport.drop(i)
-			} else {
-				sk.drops = append(sk.drops, id)
-			}
+			e.transport.drop(i)
 			continue
 		}
 		last := len(ms.queues) - 1
@@ -1116,30 +794,27 @@ func (e *exec) readShard(s int) {
 			continue
 		}
 		if e.faults != nil && !e.faults.CellOpen(cell, e.now) {
-			e.noteGated(sk)
+			e.stats.GatedOps++
 			continue
 		}
 		word := qi.q.Pop()
-		e.noteCooling(qi, sk)
+		e.noteCooling(qi)
 		e.logic.OnRead(cell, id, ms.read, word)
 		e.deliver(id, word)
 		ms.read++
 		ms.departed[last]++
-		e.noteMoved(id, sk)
-		e.advancePC(c, sk)
-		e.noteEvent(sk, 1)
+		e.movedSet.add(i)
+		e.advancePC(c)
+		e.noteEvent(1)
 	}
 }
 
-// advanceShard moves words between interior queues for shard s's id
-// range of the transport set. Every touched queue is bound to the
-// range's own message, so shards never contend.
+// advancePhase moves words between interior queues, last hop toward
+// the receiver first.
 //
 //sysvet:hotpath
-func (e *exec) advanceShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.msgs), e.workers, s)
-	for i := e.transport.next(lo); i >= 0 && i < hi; i = e.transport.next(i + 1) {
+func (e *exec) advancePhase() {
+	for i := e.transport.next(0); i >= 0; i = e.transport.next(i + 1) {
 		id := model.MessageID(i)
 		ms := &e.msgs[id]
 		for hop := len(ms.queues) - 2; hop >= 0; hop-- {
@@ -1154,35 +829,30 @@ func (e *exec) advanceShard(s int) {
 					continue
 				}
 				if e.faults != nil && !e.faults.LinkOpen(e.hopLink(id, hop+1), e.now) {
-					e.noteGated(sk)
+					e.stats.GatedOps++
 					continue
 				}
 				dst.q.Push(src.q.Pop())
 				if e.lm != nil {
-					e.noteLinkHit(e.hopLink(id, hop+1), sk)
+					e.noteLinkHit(e.hopLink(id, hop+1))
 				}
-				e.noteCooling(src, sk)
+				e.noteCooling(src)
 				ms.departed[hop]++
-				e.noteMoved(id, sk)
-				e.noteReqCheck(id, sk)
-				e.noteEvent(sk, 1)
+				e.movedSet.add(i)
+				e.reqSet.add(i)
+				e.noteEvent(1)
 			}
 		}
 	}
 }
 
-// writeShard pushes sender words into first-hop queues for the
-// writer-snapshot entries shard s owns (messages whose sender cell is
-// in s's range).
+// writePhase pushes sender words into first-hop queues for the
+// writer-snapshot entries.
 //
 //sysvet:hotpath
-func (e *exec) writeShard(s int) {
-	sk := &e.sinks[s]
+func (e *exec) writePhase() {
 	for i := e.writerSnap.next(0); i >= 0; i = e.writerSnap.next(i + 1) {
 		id := model.MessageID(i)
-		if !e.owns(s, e.sendShard, id) {
-			continue
-		}
 		if !e.writeReady[id] {
 			continue
 		}
@@ -1214,18 +884,18 @@ func (e *exec) writeShard(s int) {
 			continue
 		}
 		if e.faults != nil && (!e.faults.CellOpen(cell, e.now) || !e.faults.LinkOpen(qi.link, e.now)) {
-			e.noteGated(sk)
+			e.stats.GatedOps++
 			continue
 		}
 		qi.q.Push(e.logic.Produce(cell, id, ms.written))
 		if e.lm != nil {
-			e.noteLinkHit(qi.link, sk)
+			e.noteLinkHit(qi.link)
 		}
 		ms.written++
-		e.noteTransport(id, sk)
-		e.noteReqCheck(id, sk)
-		e.advancePC(c, sk)
-		e.noteEvent(sk, 0)
+		e.transport.add(i)
+		e.noteReqCheck(id)
+		e.advancePC(c)
+		e.noteEvent(0)
 	}
 }
 
@@ -1234,7 +904,7 @@ func (e *exec) writeShard(s int) {
 // buffered, the paper's "queues are just latches" regime.
 //
 //sysvet:hotpath
-func (e *exec) rendezvous(sk *sink) {
+func (e *exec) rendezvous() {
 	// A rendezvous needs the sender parked at W(id) over a bound
 	// latch — precisely the writer set (capacity 0 admits only
 	// single-hop routes, so every entry here is a latch candidate).
@@ -1268,52 +938,37 @@ func (e *exec) rendezvous(sk *sink) {
 		if e.faults != nil && (!e.faults.CellOpen(e.m.sender[id], e.now) ||
 			!e.faults.CellOpen(e.m.receiver[id], e.now) ||
 			!e.faults.LinkOpen(ms.queues[0].link, e.now)) {
-			e.noteGated(sk)
+			e.stats.GatedOps++
 			continue
 		}
 		w := e.logic.Produce(e.m.sender[id], id, ms.written)
 		e.logic.OnRead(e.m.receiver[id], id, ms.read, w)
 		e.deliver(id, w)
 		if e.lm != nil {
-			e.noteLinkHit(ms.queues[0].link, sk)
+			e.noteLinkHit(ms.queues[0].link)
 		}
 		ms.written++
 		ms.read++
 		ms.departed[0]++
-		e.noteMoved(id, sk)
-		e.advancePC(sc, sk)
-		e.advancePC(rc, sk)
-		e.noteEvent(sk, 1)
+		e.movedSet.add(i)
+		e.advancePC(sc)
+		e.advancePC(rc)
+		e.noteEvent(1)
 	}
 }
 
 // releasePhase frees queues whose message has fully passed (§2.3: a
 // queue may be reassigned only after the current message's last word
-// has passed it) and retires messages with nothing left bound. The
-// moved set is chunked by message-id range and merged in shard
-// order, so release-side timeline events keep their ascending-message
-// order for any worker count.
+// has passed it) and retires messages with nothing left bound. A
+// queue becomes releasable exactly on the cycle its message's last
+// word departs it (the queue is empty at that same instant), so the
+// messages with departure events this cycle are the only release
+// candidates. Release-side timeline events follow ascending message
+// order.
 //
 //sysvet:hotpath
 func (e *exec) releasePhase() {
-	e.fanout(e.movedSet.len(), e.fnRelease)
-	if !e.direct {
-		e.mergeRelease()
-	}
-	e.movedSet.clearAll()
-}
-
-// releaseShard frees the releasable queues of shard s's id range of
-// the moved set. A queue becomes releasable exactly on the cycle its
-// message's last word departs it (the queue is empty at that same
-// instant), so the messages with departure events this cycle are the
-// only release candidates.
-//
-//sysvet:hotpath
-func (e *exec) releaseShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.msgs), e.workers, s)
-	for i := e.movedSet.next(lo); i >= 0 && i < hi; i = e.movedSet.next(i + 1) {
+	for i := e.movedSet.next(0); i >= 0; i = e.movedSet.next(i + 1) {
 		id := model.MessageID(i)
 		ms := &e.msgs[id]
 		words := e.m.words[id]
@@ -1326,24 +981,15 @@ func (e *exec) releaseShard(s int) {
 				qi.bound = false
 				qi.q.Reset()
 				ms.queues[hop] = nil // keep granted=true: the message had its turn
-				if e.direct {
-					// armed is consumed by next cycle's grantPhase, never
-					// read during this scan, so in-place arming is safe.
-					e.stats.Releases++
-					e.armed.add(e.poolOf(id, hop))
-					if e.recordTimeline {
-						e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
-					}
-					continue
-				}
-				sk.releases++
-				sk.armed = append(sk.armed, e.poolOf(id, hop))
+				e.stats.Releases++
+				e.armed.add(e.poolOf(id, hop))
 				if e.recordTimeline {
-					sk.timeline = append(sk.timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
+					e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
 				}
 			}
 		}
 	}
+	e.movedSet.clearAll()
 }
 
 // result assembles the run's Result. Blocked-cycle accounting is the

@@ -139,6 +139,16 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
+// Connection timeouts of the daemon's listener: readHeaderTimeout
+// drops a client that connects and never finishes its request header,
+// so idle sockets cannot pin file descriptors and goroutines forever;
+// idleTimeout closes keep-alive connections left unused between
+// requests. Variables only so a test can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ListenAndServe runs a Server on opts.Addr until ctx is cancelled,
 // then shuts down gracefully (in-flight requests get five seconds to
 // drain). It returns nil on a clean shutdown.
@@ -163,7 +173,7 @@ func ListenAndServe(ctx context.Context, opts Options) error {
 		fmt.Fprintf(opts.Log, "sysdl serve: listening on http://%s (cache %d scenarios, %d concurrent runs, %d waiters, %d tenants)\n",
 			ln.Addr(), s.cache.max, s.limiter.Cap(), s.adm.waitCap, s.tenants.count())
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -347,7 +357,7 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 		}
 	}
 	if req.Workers < 0 {
-		return badRequest(fmt.Errorf("negative workers %d (0 = single-threaded)", req.Workers))
+		return badRequest(fmt.Errorf("negative workers %d", req.Workers))
 	}
 	plan, err := fault.ParseSpec(req.Faults)
 	if err != nil {
@@ -384,12 +394,6 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 	if h := testHookAcquired; h != nil {
 		h()
 	}
-	// Intra-run sharding against the slot acquired above: each extra
-	// shard must win its own -max-concurrency slot, so a burst of
-	// sharded runs degrades shard counts, never the budget or the
-	// response bytes; see sweep.Limiter.ShardBudget.
-	workers, releaseShards := s.limiter.ShardBudget(req.Workers)
-	defer releaseShards()
 	res, err := core.Execute(a, core.ExecOptions{
 		Policy:        kind,
 		QueuesPerLink: req.Queues,
@@ -397,7 +401,6 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 		Seed:          req.Seed,
 		MaxCycles:     req.MaxCycles,
 		Force:         req.Force,
-		Workers:       workers,
 		Faults:        plan,
 		LinkModel:     lplan,
 		// A dropped client cancels its simulation between cycles
@@ -475,7 +478,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.RunWorkers < 0 {
-		s.writeError(w, badRequest(fmt.Errorf("negative run_workers %d (0 = single-threaded)", req.RunWorkers)))
+		s.writeError(w, badRequest(fmt.Errorf("negative run_workers %d", req.RunWorkers)))
 		return
 	}
 	axes := sweep.Axes{
@@ -630,11 +633,10 @@ func (s *Server) prepareSweep(req *SweepRequest, axes sweep.Axes, maxCycles int)
 		cases: []sweep.Case{{Name: "program", Program: prog, Topology: topo}},
 		axes:  axes,
 		opts: sweep.Options{
-			Workers:    req.Workers,
-			RunWorkers: req.RunWorkers,
-			MaxCycles:  maxCycles,
-			Faults:     plan,
-			Limiter:    s.limiter,
+			Workers:   req.Workers,
+			MaxCycles: maxCycles,
+			Faults:    plan,
+			Limiter:   s.limiter,
 			Analysis: func(_, lookahead int) (*core.Analysis, error) {
 				r := res[lookahead]
 				return r.a, r.err

@@ -130,32 +130,31 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunEndpointWorkers: a sharded /v1/run must return exactly the
-// single-threaded payload (determinism over the wire), bounded by the
-// shared -max-concurrency budget (no leaked slots afterwards), and a
-// negative worker count is a 400.
-func TestRunEndpointWorkers(t *testing.T) {
-	s, ts := newTestServer(t, Options{MaxConcurrency: 2})
-	strip := func(body []byte) RunResponse {
-		var rr RunResponse
-		if err := json.Unmarshal(body, &rr); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		rr.ID = ""
-		rr.Cached = false
-		return rr
-	}
-	_, plain := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Queues: 1})
-	resp, sharded := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Queues: 1, Workers: 8})
+// firstResponse posts req to path on a fresh server and returns the
+// response body. A fresh server numbers its first result identically
+// and reports a cold cache, so two calls differ only where the
+// requests do.
+func firstResponse(t *testing.T, path string, req any) []byte {
+	t.Helper()
+	_, ts := newTestServer(t, Options{})
+	resp, body := postJSON(t, ts.URL+path, req)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded run: status %d: %s", resp.StatusCode, sharded)
+		t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
 	}
-	if !reflect.DeepEqual(strip(plain), strip(sharded)) {
-		t.Fatalf("workers=8 changed the response:\n%s\nvs\n%s", plain, sharded)
+	return body
+}
+
+// TestRunEndpointWorkers: the "workers" field is accepted for
+// compatibility and has no effect — a /v1/run carrying it returns
+// exactly the bytes of the same request without it — while a negative
+// count is still a 400.
+func TestRunEndpointWorkers(t *testing.T) {
+	plain := firstResponse(t, "/v1/run", RunRequest{Program: relayDSL, Queues: 1})
+	withField := firstResponse(t, "/v1/run", RunRequest{Program: relayDSL, Queues: 1, Workers: 4})
+	if !bytes.Equal(plain, withField) {
+		t.Fatalf("workers=4 changed the response:\n%s\nvs\n%s", plain, withField)
 	}
-	if inUse := s.limiter.InUse(); inUse != 0 {
-		t.Fatalf("limiter leaked %d slots after a sharded run", inUse)
-	}
+	_, ts := newTestServer(t, Options{})
 	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Workers: -1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("workers=-1: status %d: %s", resp.StatusCode, body)

@@ -8,11 +8,6 @@ package sim
 // the checked-in fuzz corpus plus a few hundred generated scenarios
 // under a matrix of policies, budgets, capacities, pool regimes, and
 // extension settings.
-//
-// Since the deterministic-sharding PR the same replay also fans every
-// configuration across worker counts (equivWorkers): sharded
-// execution must reproduce the single-threaded machine — and hence
-// the reference engine — byte for byte at every count, corpus-wide.
 
 import (
 	"fmt"
@@ -226,9 +221,8 @@ func runEquivCase(t *testing.T, ec equivCase) bool {
 		labels = label.Trivial(p).Dense
 	}
 	// Degraded replays: the seeded fault plan gates both engines at
-	// identical points, so every comparison below — reference vs
-	// machine vs every worker count — must stay byte-identical on the
-	// faulted array too.
+	// identical points, so every reference-vs-machine comparison below
+	// must stay byte-identical on the faulted array too.
 	var plan *fault.Plan
 	if ec.faultClass != 0 {
 		plan = gen.RandomFaults(ec.seed, p.NumCells(), len(sc.Topology.Links()),
@@ -253,33 +247,9 @@ func runEquivCase(t *testing.T, ec equivCase) bool {
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("%s: results diverged\nreference: %+v\nmachine:   %+v\nprogram:\n%s", name, ref, got, p)
 		}
-		for _, workers := range equivWorkers {
-			wcfg := freshPolicy(cfg)
-			wcfg.Workers = workers
-			gotW, errW := Run(p, wcfg)
-			if (gotErr != nil) != (errW != nil) {
-				t.Fatalf("%s workers=%d: single-threaded err=%v, sharded err=%v", name, workers, gotErr, errW)
-			}
-			if gotErr != nil {
-				if gotErr.Error() != errW.Error() {
-					t.Fatalf("%s workers=%d: error text diverged:\n  workers=1: %v\n  sharded:   %v", name, workers, gotErr, errW)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(got, gotW) {
-				t.Fatalf("%s workers=%d: sharded result diverged from single-threaded machine\nsingle: %+v\nsharded: %+v\nprogram:\n%s",
-					name, workers, got, gotW, p)
-			}
-		}
 	}
 	return true
 }
-
-// equivWorkers are the shard counts every configuration is replayed
-// under, on top of the implicit single-threaded run: 1 exercises the
-// Workers-field dispatch with one shard, 2 and 4 the even splits, 7
-// an odd count that misaligns every chunk boundary.
-var equivWorkers = []int{1, 2, 4, 7}
 
 // runEquivCases runs a batch and fails if a meaningful fraction of it
 // never generated — the suite must not silently dwindle.

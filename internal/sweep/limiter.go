@@ -53,60 +53,18 @@ func (l *Limiter) Release() {
 	}
 }
 
-// TryAcquireN grabs up to n extra slots without blocking and reports
-// how many it got (possibly zero). It is the intra-run parallelism
-// hook: a caller already holding one Acquire slot asks for workers-1
-// more, shards its run across 1 + granted workers, and the global
-// simulation budget holds — run-level × sweep-level concurrency can
-// never exceed the limiter's capacity, because every extra shard
-// occupies a slot a whole run would otherwise use. Degrading to fewer
-// (or zero) extra shards is invisible in results: the sharded runner
-// is byte-identical at every worker count. A nil limiter grants all n.
-func (l *Limiter) TryAcquireN(n int) int {
-	if n <= 0 {
-		return 0
-	}
+// TryAcquire takes a slot if one is free, without blocking, and
+// reports whether it did. A nil limiter always succeeds.
+func (l *Limiter) TryAcquire() bool {
 	if l == nil {
-		return n
+		return true
 	}
-	got := 0
-	for ; got < n; got++ {
-		select {
-		case l.sem <- struct{}{}:
-		default:
-			return got
-		}
+	select {
+	case l.sem <- struct{}{}:
+		return true
+	default:
+		return false
 	}
-	return got
-}
-
-// ReleaseN frees n slots previously obtained via TryAcquireN. A nil
-// limiter is a no-op.
-func (l *Limiter) ReleaseN(n int) {
-	if l == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		l.Release()
-	}
-}
-
-// ShardBudget resolves an intra-run worker request for a caller that
-// already holds one Acquire slot: each extra shard beyond the first
-// must win its own slot without blocking, so run-level × caller-level
-// concurrency stays inside the limiter's capacity. It returns the
-// worker count to simulate with (0 when requested ≤ 1, i.e.
-// single-threaded) and a release function to call exactly once when
-// the run finishes. The sweep engine and the serving layer share this
-// so the budget discipline cannot drift between them; degrading to
-// fewer shards is invisible in results — the sharded runner is
-// byte-identical at every worker count.
-func (l *Limiter) ShardBudget(requested int) (workers int, release func()) {
-	if requested <= 1 {
-		return 0, func() {}
-	}
-	extra := l.TryAcquireN(requested - 1)
-	return 1 + extra, func() { l.ReleaseN(extra) }
 }
 
 // InUse reports how many slots are currently held (0 for nil).

@@ -69,93 +69,34 @@ func TestNilLimiterIsUnbounded(t *testing.T) {
 	}
 }
 
-// TestTryAcquireN pins the extra-credit contract intra-run sharding
-// relies on: never blocks, grants at most what is free, pairs with
-// ReleaseN, and a nil limiter grants everything.
-func TestTryAcquireN(t *testing.T) {
-	l := NewLimiter(3)
+// TestTryAcquire pins the non-blocking admission fast path: it takes
+// a free slot, refuses when saturated without blocking, and a nil
+// limiter always admits.
+func TestTryAcquire(t *testing.T) {
+	l := NewLimiter(2)
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.TryAcquireN(5); got != 2 {
-		t.Fatalf("TryAcquireN(5) with 2 free = %d", got)
+	if !l.TryAcquire() {
+		t.Fatal("TryAcquire with 1 free slot failed")
 	}
-	if got := l.TryAcquireN(1); got != 0 {
-		t.Fatalf("TryAcquireN(1) when saturated = %d", got)
+	if l.TryAcquire() {
+		t.Fatal("TryAcquire succeeded when saturated")
 	}
-	l.ReleaseN(2)
+	l.Release()
 	l.Release()
 	if l.InUse() != 0 {
 		t.Fatalf("InUse = %d after releasing everything", l.InUse())
 	}
-	if got := l.TryAcquireN(0); got != 0 {
-		t.Fatalf("TryAcquireN(0) = %d", got)
-	}
 	var nilL *Limiter
-	if got := nilL.TryAcquireN(4); got != 4 {
-		t.Fatalf("nil TryAcquireN(4) = %d", got)
-	}
-	nilL.ReleaseN(4)
-}
-
-// TestShardBudget pins the shared intra-run discipline: ≤ 1 requested
-// means single-threaded with no slots touched; otherwise 1 + whatever
-// extra slots are free, all returned by the release func.
-func TestShardBudget(t *testing.T) {
-	l := NewLimiter(3)
-	if err := l.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if w, release := l.ShardBudget(1); w != 0 || l.InUse() != 1 {
-		t.Fatalf("ShardBudget(1) = %d workers, %d in use", w, l.InUse())
-	} else {
-		release()
-	}
-	w, release := l.ShardBudget(8)
-	if w != 3 || l.InUse() != 3 {
-		t.Fatalf("ShardBudget(8) with 2 free = %d workers, %d in use", w, l.InUse())
-	}
-	release()
-	if l.InUse() != 1 {
-		t.Fatalf("release left %d in use, want 1", l.InUse())
-	}
-	l.Release()
-	var nilL *Limiter
-	if w, release := nilL.ShardBudget(5); w != 5 {
-		t.Fatalf("nil ShardBudget(5) = %d", w)
-	} else {
-		release()
-	}
-}
-
-// TestSweepRunWorkersBoundedAndIdentical: intra-run sharding through a
-// tight limiter must neither exceed the global budget (the limiter
-// panics on over-release, and InUse must return to zero) nor change a
-// single report byte.
-func TestSweepRunWorkersBoundedAndIdentical(t *testing.T) {
-	cases := testCases()
-	axes := Axes{Seed: 1}
-	plain, err := Run(context.Background(), cases, axes, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim := NewLimiter(2)
-	sharded, err := Run(context.Background(), cases, axes, Options{
-		Workers: 2, RunWorkers: 4, Limiter: lim,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lim.InUse() != 0 {
-		t.Fatalf("limiter leaked %d slots", lim.InUse())
-	}
-	if plain.Table() != sharded.Table() {
-		t.Fatal("intra-run sharding changed the sweep report")
+	if !nilL.TryAcquire() {
+		t.Fatal("nil TryAcquire failed")
 	}
 }
 
 // TestSweepSharesLimiter runs a sweep through a width-1 limiter and
-// checks the report is complete and identical to an unlimited run.
+// checks the report is complete and identical to an unlimited run,
+// and that every slot is returned afterwards.
 func TestSweepSharesLimiter(t *testing.T) {
 	cases := testCases()
 	axes := Axes{Seed: 1}
@@ -168,6 +109,30 @@ func TestSweepSharesLimiter(t *testing.T) {
 		t.Fatalf("limited run: %v", err)
 	}
 	if free.Table() != gated.Table() {
+		t.Fatal("limiter changed the sweep report")
+	}
+}
+
+// TestSweepRunWorkersBoundedAndIdentical runs a sweep whose pool is
+// as wide as its limiter: every grid point's slot must come back
+// (no leak once the sweep returns), and the report must match the
+// unlimited sweep byte for byte.
+func TestSweepRunWorkersBoundedAndIdentical(t *testing.T) {
+	cases := testCases()
+	axes := Axes{Seed: 1}
+	plain, err := Run(context.Background(), cases, axes, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := NewLimiter(2)
+	limited, err := Run(context.Background(), cases, axes, Options{Workers: 2, Limiter: lim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lim.InUse() != 0 {
+		t.Fatalf("limiter leaked %d slots", lim.InUse())
+	}
+	if plain.Table() != limited.Table() {
 		t.Fatal("limiter changed the sweep report")
 	}
 }

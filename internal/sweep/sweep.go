@@ -235,14 +235,6 @@ func (o Outcome) deadlocked() bool { return o.Result == "deadlocked" }
 type Options struct {
 	// Workers bounds the pool; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// RunWorkers, when > 1, shards each grid point's simulation across
-	// up to that many workers (machine.ExecOptions.Workers). Combined
-	// with Limiter the product of sweep-level and run-level
-	// concurrency stays globally bounded: each extra shard must win a
-	// limiter slot (non-blocking), and a run that gets fewer — or none
-	// — simply shards less. Reports are byte-identical either way: the
-	// sharded runner produces the same bytes at every worker count.
-	RunWorkers int
 	// MaxCycles bounds each simulation (0 = the simulator's derived
 	// default).
 	MaxCycles int
@@ -557,17 +549,12 @@ func runOne(ctx context.Context, c Case, cfg Config, a *core.Analysis, aerr erro
 	}
 	o.MinQueues = a.MinQueues(cfg.Policy)
 	o.QueuesUsed = a.ResolveQueues(cfg.Policy, cfg.Queues)
-	// Intra-run sharding against the grid point's limiter slot; see
-	// Limiter.ShardBudget for the budget discipline.
-	workers, releaseShards := opts.Limiter.ShardBudget(opts.RunWorkers)
-	defer releaseShards()
 	eopts := core.ExecOptions{
 		Policy:        cfg.Policy,
 		QueuesPerLink: o.QueuesUsed,
 		Capacity:      cfg.Capacity,
 		Seed:          cfg.Seed,
 		MaxCycles:     opts.MaxCycles,
-		Workers:       workers,
 		Faults:        opts.Faults,
 		LinkModel:     opts.linkPlans[cfg.LinkModel],
 		// Context threads the sweep's cancellation into the run itself:

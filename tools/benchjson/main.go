@@ -1,12 +1,11 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON document on stdout, so CI can archive
-// benchmark trajectories (e.g. BENCH_parallel.json: ns/sim-cycle for
-// the sharded runner, single-threaded vs 4 workers) without scraping
-// logs. Each benchmark line becomes one entry with its iteration
+// benchmark trajectories (e.g. BENCH_run.json: ns/sim-cycle of the
+// scheduler on two all-active shapes) without scraping logs. Each benchmark line becomes one entry with its iteration
 // count and every reported metric, custom metrics included; non-bench
 // lines are ignored. The output is deterministic for a given input.
 //
-//	go test -run '^$' -bench BenchmarkRunParallel -benchmem . | go run ./tools/benchjson
+//	go test -run '^$' -bench BenchmarkRunActive -benchmem . | go run ./tools/benchjson
 //
 // With -baseline FILE the current results are also compared against a
 // committed baseline document: every baseline benchmark must still
@@ -23,7 +22,7 @@
 // always. On regression the diff goes to stderr and the exit status
 // is 1.
 //
-//	go test -bench BenchmarkRunParallel -benchmem . | go run ./tools/benchjson -baseline BENCH_parallel.json -time-tolerance 0.5
+//	go test -bench BenchmarkRunActive -benchmem . | go run ./tools/benchjson -baseline BENCH_run.json -time-tolerance 0.5
 package main
 
 import (
@@ -122,12 +121,17 @@ func normName(name string) string {
 // a compared metric exceeding baseline*(1+tol). When timeTol > 0 the
 // timed metrics (ns/sim-cycle) are additionally gated against
 // baseline*(1+timeTol); 0 leaves timing advisory. Benchmarks only in
-// cur are fine — coverage may grow freely. Names are matched with the
-// GOMAXPROCS suffix stripped.
+// cur are fine — coverage may grow freely. A baseline name matches a
+// current one exactly or with the GOMAXPROCS suffix stripped; the
+// exact match comes first because a sub-benchmark whose own name ends
+// in -<digits> (wide-linear-1024) would otherwise lose that part.
 func compare(cur, base document, tol, timeTol float64) []string {
-	curBy := make(map[string]entry, len(cur.Benchmarks))
+	curBy := make(map[string]entry, 2*len(cur.Benchmarks))
 	for _, e := range cur.Benchmarks {
 		curBy[normName(e.Name)] = e
+	}
+	for _, e := range cur.Benchmarks {
+		curBy[e.Name] = e
 	}
 	gate := func(bad []string, b, c entry, metrics []string, tol float64) []string {
 		for _, m := range metrics {
@@ -148,7 +152,10 @@ func compare(cur, base document, tol, timeTol float64) []string {
 	}
 	var bad []string
 	for _, b := range base.Benchmarks {
-		c, ok := curBy[normName(b.Name)]
+		c, ok := curBy[b.Name]
+		if !ok {
+			c, ok = curBy[normName(b.Name)]
+		}
 		if !ok {
 			bad = append(bad, fmt.Sprintf("%s: in baseline but not in current run", b.Name))
 			continue

@@ -6,11 +6,11 @@ import (
 )
 
 func TestParseLine(t *testing.T) {
-	e, ok := parseLine("BenchmarkRunParallel/wide-linear-1024/workers=4-8  3  81334315 ns/op  26511 ns/sim-cycle  900 allocs/op")
+	e, ok := parseLine("BenchmarkRunActive/wide-linear-1024-8  3  81334315 ns/op  26511 ns/sim-cycle  900 allocs/op")
 	if !ok {
 		t.Fatal("benchmark line not recognized")
 	}
-	if e.Name != "BenchmarkRunParallel/wide-linear-1024/workers=4-8" || e.Iterations != 3 {
+	if e.Name != "BenchmarkRunActive/wide-linear-1024-8" || e.Iterations != 3 {
 		t.Fatalf("parsed %+v", e)
 	}
 	for unit, want := range map[string]float64{"ns/op": 81334315, "ns/sim-cycle": 26511, "allocs/op": 900} {
@@ -111,6 +111,20 @@ func TestCompare(t *testing.T) {
 		}
 	})
 
+	t.Run("sub-benchmark ending in digits matches", func(t *testing.T) {
+		sized := doc(bench("BenchmarkRun/wide-1024", map[string]float64{"allocs/op": 10}))
+		for _, name := range []string{"BenchmarkRun/wide-1024-4", "BenchmarkRun/wide-1024"} {
+			cur := doc(bench(name, map[string]float64{"allocs/op": 10}))
+			if bad := compare(cur, sized, 0.10, 0); len(bad) != 0 {
+				t.Errorf("%s: %v", name, bad)
+			}
+		}
+		cur := doc(bench("BenchmarkRun/wide-512-4", map[string]float64{"allocs/op": 10}))
+		if bad := compare(cur, sized, 0.10, 0); len(bad) != 1 {
+			t.Errorf("different size matched the baseline: %v", bad)
+		}
+	})
+
 	t.Run("extra benchmarks are fine", func(t *testing.T) {
 		cur := doc(
 			bench("BenchmarkA-8", map[string]float64{"allocs/op": 10, "B/op": 1000}),
@@ -190,7 +204,7 @@ func TestTimeTolerance(t *testing.T) {
 
 func TestParseDocument(t *testing.T) {
 	in := `goos: linux
-BenchmarkRunParallel/w1-8   3   100 ns/op   10 allocs/op
+BenchmarkRunActive/w1-8   3   100 ns/op   10 allocs/op
 PASS
 `
 	d, err := parse(strings.NewReader(in))
